@@ -102,6 +102,8 @@ def run_serving(args) -> tuple[bool, int, int, dict, dict]:
         info.update(extra)
     else:
         setup_s = run.setup()
+        # The index's own footprint: the replay's queues come after this.
+        rss_mb = peak_rss_mb()
         res = run.replay(args.seconds)
         e2e = run.end_to_end(res)
         lam = e2e["lambda_star_qps"][0]
@@ -115,7 +117,7 @@ def run_serving(args) -> tuple[bool, int, int, dict, dict]:
         metrics = {"setup_s": (setup_s, "s"), **e2e}
         ok = 1.0 - run.failed / max(1, run.attempted)
         metrics["ok_frac"] = (ok, "ratio")
-        metrics["peak_rss_mb"] = (peak_rss_mb(), "MB")
+        metrics["peak_rss_mb"] = (rss_mb, "MB")
         metrics["index_entries"] = (float(run.index_entries), "count")
     info.update(n=run.n, m=run.m, checked=run.checked, wrong=run.wrong)
     correct = run.failed == 0 and run.checked > 0
