@@ -39,6 +39,7 @@ from typing import Callable
 import numpy as np
 
 VECTOR_CHUNK = 1024
+STOP_FACTOR = 2.0  # a rung this far past R*_q (mean or backlog) is stopped
 EMPTY_BLOCK = (np.empty(0), 0, np.empty((0, 2), dtype=np.int64))
 
 Serve = Callable[[str, int, int], tuple[float, float]]
@@ -88,14 +89,15 @@ class Rung:
         return self.pending + list(zip(a_blk.tolist(), range(first, first + len(a_blk)),
                                        st[:, 0].tolist(), st[:, 1].tolist()))
 
-    def backlog_grows(self, rq: float) -> bool:
-        """Backlog at interval ends rises, between the run's two halves, by
-        more than the queue a mean response of ``rq`` implies (Little)."""
+    def backlog_growth(self, rq: float) -> float:
+        """Rise of the backlog at interval ends between the run's two halves,
+        over the queue a mean response of ``rq`` implies (Little); the
+        backlog grows when this exceeds 1."""
         b = self.backlog_end
         if len(b) < 2:
-            return False
+            return 0.0
         h = len(b) // 2
-        return float(np.mean(b[h:])) - float(np.mean(b[:h])) > self.rate * rq
+        return (float(np.mean(b[h:])) - float(np.mean(b[:h]))) / (self.rate * rq)
 
 
 class Replay:
@@ -110,7 +112,6 @@ class Replay:
         seed: int,
         pairs: PairFn,
         keep_samples: tuple = (),
-        stop_factor: float = 2.0,
     ):
         if sorted(rates) != list(rates) or rates[0] <= 0:
             raise ValueError("rates must be positive and ascending")
@@ -119,7 +120,6 @@ class Replay:
         self.rq = rq
         self.seed = seed
         self.pairs = pairs
-        self.stop_factor = stop_factor
         self.intervals = 0
         self.windows: list[dict[str, float]] = []  # per interval: stage -> live seconds
         self.executed: list[tuple] = []  # this interval: (stage, s, t, answer, seconds)
@@ -248,13 +248,13 @@ class Replay:
 
     def _stop_failed(self, now: float) -> None:
         """Stop a rung, and every higher one, once it fails decisively: its
-        mean response is past ``stop_factor * rq`` or its backlog holds more
-        than ``stop_factor`` times the queue that meeting ``rq`` implies."""
+        mean response is past ``STOP_FACTOR * rq`` or its backlog holds more
+        than ``STOP_FACTOR`` times the queue that meeting ``rq`` implies."""
         for j, rung in enumerate(self.rungs):
             if rung.stopped:
                 continue
-            if (rung.mean_response(now) > self.stop_factor * self.rq
-                    or rung.backlog_end[-1] > self.stop_factor * rung.rate * self.rq):
+            if (rung.mean_response(now) > STOP_FACTOR * self.rq
+                    or rung.backlog_end[-1] > STOP_FACTOR * rung.rate * self.rq):
                 for r in self.rungs[j:]:
                     if not r.stopped:
                         r.stopped = True
@@ -268,46 +268,42 @@ class Replay:
         out = []
         for r in self.rungs:
             mean = r.stop_mean if r.stopped else r.mean_response(now)
-            grows = r.backlog_grows(self.rq)
+            growth = r.backlog_growth(self.rq)
+            # One load index per rung: the rung passes when it is at most 1.
+            load = max(mean / self.rq, growth, STOP_FACTOR if r.stopped else 0.0)
             out.append(dict(
-                rate=r.rate, mean_s=mean, stopped=r.stopped, backlog_grows=grows,
-                passed=(not r.stopped) and (not grows) and mean <= self.rq,
-                served=r.served, backlog_end=list(r.backlog_end),
+                rate=r.rate, mean_s=mean, stopped=r.stopped, backlog_growth=growth,
+                load=load, passed=load <= 1.0, served=r.served,
+                backlog_end=list(r.backlog_end),
             ))
         return out
 
     def lambda_star(self) -> tuple[float, bool]:
         """(λ*, censored): see :func:`interpolate_lambda_star`."""
         s = self.rung_summary()
-        return interpolate_lambda_star(
-            [r["rate"] for r in s], [r["mean_s"] for r in s], [r["passed"] for r in s], self.rq
-        )
+        return interpolate_lambda_star([r["rate"] for r in s], [r["load"] for r in s])
 
 
-def interpolate_lambda_star(
-    rates: list[float], means: list[float], passed: list[bool], rq: float
-) -> tuple[float, bool]:
-    """Rate at which mean response crosses ``rq``, from a fixed ladder.
+def interpolate_lambda_star(rates: list[float], loads: list[float]) -> tuple[float, bool]:
+    """Rate at which a rung's load index crosses 1, from a fixed ladder.
 
-    The crossing lies between the last passing rung below the first
-    failing rung and that failing rung; it is interpolated linearly in
-    log(mean response). A failing rung whose mean is within ``rq`` (its
-    backlog grows) gives the passing rung's rate. When the lowest rung
-    already fails, λ* is scaled down from it by ``rq / mean``; when no
-    rung fails, λ* is the top rate and ``censored`` is True. Lower means
+    A rung's load is the larger of its mean response over R*_q and its
+    backlog growth over the queue R*_q implies, so a rung passes (mean
+    response within R*_q, no growing backlog) when its load is at most 1.
+    The crossing lies between the first failing rung and the rung below
+    it; it is interpolated linearly in log(load). When the lowest rung
+    already fails, λ* is scaled down from it by ``1 / load``; when no
+    rung fails, λ* is the top rate and ``censored`` is True. Lower loads
     never give a lower λ*.
     """
-    f = next((i for i, p in enumerate(passed) if not p), None)
+    f = next((i for i, x in enumerate(loads) if x > 1.0), None)
     if f is None:
         return rates[-1], True
     if f == 0:
-        return rates[0] * min(1.0, rq / means[0]), False
+        return rates[0] / loads[0], False
     lo, hi = rates[f - 1], rates[f]
-    m_lo, m_hi = means[f - 1], means[f]
-    if m_hi <= rq:
-        return lo, False
-    m_lo = max(m_lo, 1e-12)
-    frac = (math.log(rq) - math.log(m_lo)) / (math.log(m_hi) - math.log(m_lo))
+    x_lo, x_hi = max(loads[f - 1], 1e-12), loads[f]
+    frac = -math.log(x_lo) / (math.log(x_hi) - math.log(x_lo))
     return lo + (hi - lo) * min(1.0, max(0.0, frac)), False
 
 

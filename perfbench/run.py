@@ -2,7 +2,7 @@
 
 Usage (from the repository root):
 
-    python3 perfbench/run.py --workload read --seed 1 --seconds 26 --trace 0
+    python3 perfbench/run.py --workload read --seed 1 --seconds 30 --trace 0
 
 Serves a real Poisson query stream against the real index while real
 update batches run, on a virtual clock with one FIFO query server (the
@@ -111,8 +111,11 @@ def run_serving(args) -> tuple[bool, int, int, dict, dict]:
         info.update(
             lambda_star_censored=e2e.pop("_censored"), resp_samples=e2e.pop("_resp_samples"),
             intervals=res["replay"].intervals, update_walls_s=res["walls"],
+            update_walls_raw_s=res["walls_raw"], setup_raw_s=run.setup_raw_s,
+            probes_s=run.clock.probes,
             model_lambda_qps=model,
             model_over_measured=model / lam, rungs=res["replay"].rung_summary(),
+            resp_ms_mean=run.layer_metrics(res)["queue.resp_ms_mean"][0],
         )
         metrics = {"setup_s": (setup_s, "s"), **e2e}
         ok = 1.0 - run.failed / max(1, run.attempted)

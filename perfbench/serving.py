@@ -10,12 +10,17 @@ Each interval applies one real ``apply_batch``, timed from outside. Its
 returned U-stage seconds, folded in the order the code ran them, give
 the offsets at which the query stages go live (p = 1: what ran on this
 process, no LPT). The final stage goes live at the outside wall.
+
+Every time the replay and the end-to-end metrics use is in reference
+seconds (``refclock.py``): measured seconds scaled by the host speed
+that probes taken around the step found.
 """
 from __future__ import annotations
 
 import math
 import os
 import time
+import traceback
 from contextlib import nullcontext
 
 import numpy as np
@@ -27,13 +32,14 @@ from repro.psp.pmhl import PMHLIndex
 from repro.psp.postmhl import PostMHLIndex
 from repro.throughput.queue_model import Stage, multistage_throughput
 
+from refclock import RefClock
 from replay import Replay, percentile
 from workloads import BATCH_SEED, DATASET, Workload
 
 SETUP_REPS = 3
 MIN_INTERVALS = 3
 MAX_INTERVALS = 60
-WALL_CAP = 1.25          # a replay stops after this many times --seconds
+PROBE_EVERY_S = 0.5      # wall seconds between reference-clock probes while serving
 WARM_PAIRS = 32
 CHECK_PER_STAGE = 2      # answers per stage checked against Dijkstra, per interval
 CHECK_EXTRA = 6          # further answers per interval, any stage
@@ -54,8 +60,13 @@ def reported_seconds(out) -> float:
     return float(out)
 
 
-def stage_offsets(algo: str, out: dict, wall: float) -> list[tuple[float, str]]:
-    """Go-live offset of each query stage inside one interval (p = 1)."""
+def stage_offsets(algo: str, out: dict, wall: float, f: float) -> list[tuple[float, str]]:
+    """Go-live offset of each query stage inside one interval (p = 1).
+
+    ``out``'s measured seconds are scaled by ``f``; ``wall`` is already
+    in reference seconds.
+    """
+    out = scale(out, f)
     u1 = out["u1"]
     u2 = u1 + sum(out["u2"]["parts"].values()) + out["u2"]["overlay"]
     if algo == "postmhl":
@@ -75,6 +86,13 @@ def stage_offsets(algo: str, out: dict, wall: float) -> list[tuple[float, str]]:
         prev = min(max(prev, off), wall)
         clamped.append((prev, name))
     return clamped
+
+
+def scale(out, f: float):
+    """``apply_batch``'s returned seconds, each multiplied by ``f``."""
+    if isinstance(out, dict):
+        return {k: scale(v, f) for k, v in out.items()}
+    return float(out) * f
 
 
 def lpt_final_wall(algo: str, out: dict, p: int) -> float:
@@ -149,6 +167,7 @@ class ServingRun:
                                       seed=BATCH_SEED)
         self.warm_pairs = np.random.default_rng([seed, 1 << 20]).integers(
             0, self.n, size=(WARM_PAIRS, 2))
+        self.clock = RefClock()
         self.attempted = 0
         self.failed = 0
         self.checked = 0
@@ -156,26 +175,41 @@ class ServingRun:
 
     # ------------------------------------------------------------------
     def setup(self, reps: int = SETUP_REPS, tracer=None) -> float:
-        """Median build seconds over ``reps`` plus the warm-up seconds."""
-        times = []
+        """Median build seconds over ``reps`` plus the warm-up seconds, in
+        reference seconds; ``setup_raw_s`` keeps the same sum as measured."""
+        times, raw = [], []
+        clock = self.clock
+        before = clock.probe()
         for _ in range(reps):
             self.idx = None
             t0 = time.perf_counter()
             self.idx = build_index(self.w, tracer)
-            times.append(time.perf_counter() - t0)
+            raw.append(time.perf_counter() - t0)
+            after = clock.probe()
+            times.append(raw[-1] * clock.factor(before, after))
+            before = after
         t0 = time.perf_counter()
         with _span(tracer, "psp.warm_up", ctx="warmup"):
             warm_up(self.idx, self.w, self.batches[0], self.warm_pairs)
         warm = time.perf_counter() - t0
+        f = clock.factor(before, clock.probe())
+        self.setup_raw_s = float(np.median(raw)) + warm
         self.index_entries = self.idx.index_size()
         parts = self.idx.part.parts if self.w.algo == "pmhl" else None
         self.pair_fn = make_pairs(self.n, self.w.local_share, parts)
         self.next_batch = 1
-        return float(np.median(times)) + warm
+        return float(np.median(times)) + warm * f
 
     # ------------------------------------------------------------------
     def replay(self, seconds: float, tracer=None, min_intervals: int = MIN_INTERVALS) -> dict:
-        """Serve ``seconds / interval_s`` intervals; returns a summary."""
+        """Serve ``seconds / interval_s`` intervals; returns a summary.
+
+        The reference clock is probed before and after each batch: the
+        batch wall and stage seconds are scaled by the factor both probes
+        give. Query service times are scaled by the latest probe; while
+        queries are served it is repeated every ``PROBE_EVERY_S`` seconds.
+        ``walls_raw`` keeps the batch walls as measured.
+        """
         w, idx = self.w, self.idx
         fns = {st: getattr(idx, name) for st, name in STAGE_FNS[w.algo].items()}
         apply = idx.apply_batch
@@ -183,38 +217,57 @@ class ServingRun:
             fns = {st: tracer.wrap(f"psp.query.{st}", f, hot=True, request=True)
                    for st, f in fns.items()}
             apply = tracer.wrap("psp.apply_batch", apply, maint=True, request=True)
+        clock = self.clock
+        f, next_probe = 1.0, 0.0
 
         def serve(stage: str, s: int, t: int) -> tuple[float, float]:
+            nonlocal f, next_probe
             fn = fns[stage]
             t0 = time.perf_counter()
             ans = fn(s, t)
-            return ans, time.perf_counter() - t0
+            t1 = time.perf_counter()
+            sec = (t1 - t0) * f
+            if t1 >= next_probe:
+                f = clock.factor(clock.probe())
+                next_probe = time.perf_counter() + PROBE_EVERY_S
+            return ans, sec
 
         rep = Replay(list(w.rates), w.dt, w.rq, seed=self.seed, pairs=self.pair_fn,
                      keep_samples=(w.fixed_rate,))
         rng = np.random.default_rng([self.seed, 1 << 21])
-        walls, reported, lpt, outs = [], [], [], []
+        walls, walls_raw, reported, lpt, outs = [], [], [], [], []
         final_same, final_inter = [], []
         pid = idx.part.pid if w.algo == "pmhl" else None
         nproc = len(os.sched_getaffinity(0))
         t_start = time.perf_counter()
-        n_int = min(MAX_INTERVALS, max(min_intervals, round(seconds / w.interval_s)))
-        for k in range(n_int):
-            # Same work on every commit, but a host running far slower than
-            # the nominal interval_s stops early rather than overrun.
-            if k >= min_intervals and time.perf_counter() - t_start > WALL_CAP * seconds:
-                break
+        # Every run serves the same batches, whatever the host's speed.
+        for _ in range(min(MAX_INTERVALS, max(min_intervals, round(seconds / w.interval_s)))):
             batch = self.batches[self.next_batch]
             self.next_batch += 1
             self.attempted += 1
+            before = clock.probe()
             t0 = time.perf_counter()
-            out = apply(batch)
-            wall = time.perf_counter() - t0
-            walls.append(wall)
-            reported.append(reported_seconds(out))
-            lpt.append(lpt_final_wall(w.algo, out, nproc))
-            outs.append(out)
-            rep.interval(stage_offsets(w.algo, out, wall), serve)
+            try:
+                out = apply(batch)
+            except Exception:  # a raising batch is a failed one; serving goes on
+                traceback.print_exc()
+                out = None
+                self.failed += 1
+            walls_raw.append(time.perf_counter() - t0)
+            after = clock.probe()
+            fb = clock.factor(before, after)
+            f, next_probe = clock.factor(after), time.perf_counter() + PROBE_EVERY_S
+            walls.append(walls_raw[-1] * fb)
+            if out is None:
+                reported.append(0.0)
+                lpt.append(0.0)
+                live = [(walls[-1], "final")]
+            else:
+                reported.append(reported_seconds(out))
+                lpt.append(lpt_final_wall(w.algo, out, nproc))
+                outs.append(out)
+                live = stage_offsets(w.algo, out, walls[-1], fb)
+            rep.interval(live, serve)
             self.attempted += len(rep.executed)
             if pid is not None:
                 for stage, s, t, _, sec in rep.executed:
@@ -222,21 +275,22 @@ class ServingRun:
                         (final_same if pid[s] == pid[t] else final_inter).append(sec)
             self._check(rep, rng)
         self.failed += rep.failed
-        return dict(replay=rep, walls=walls, reported=reported, lpt=lpt, outs=outs,
-                    final_same=final_same, final_inter=final_inter,
+        return dict(replay=rep, walls=walls, walls_raw=walls_raw, reported=reported, lpt=lpt,
+                    outs=outs, final_same=final_same, final_inter=final_inter,
                     wall_s=time.perf_counter() - t_start)
 
     def _check(self, rep: Replay, rng: np.random.Generator) -> None:
         """Untimed: a fixed-seed sample of this interval's answers vs Dijkstra."""
+        # A query that raised (NaN answer) is already counted as failed.
+        ok = [i for i, e in enumerate(rep.executed) if not math.isnan(e[3])]
         by_stage: dict[str, list[int]] = {}
-        for i, e in enumerate(rep.executed):
-            by_stage.setdefault(e[0], []).append(i)
+        for i in ok:
+            by_stage.setdefault(rep.executed[i][0], []).append(i)
         pick: set[int] = set()
         for ids in by_stage.values():
             pick.update(rng.choice(ids, size=min(CHECK_PER_STAGE, len(ids)), replace=False).tolist())
-        if rep.executed:
-            pick.update(rng.choice(len(rep.executed), size=min(CHECK_EXTRA, len(rep.executed)),
-                                   replace=False).tolist())
+        if ok:
+            pick.update(rng.choice(ok, size=min(CHECK_EXTRA, len(ok)), replace=False).tolist())
         g = self.idx.graph
         for i in sorted(pick):
             _, s, t, answer, _ = rep.executed[i]
@@ -306,7 +360,8 @@ class ServingRun:
         for st in ALL_STAGES:
             m[f"stage.window_s.{st}"] = (
                 float(np.mean([wnd.get(st, 0.0) for wnd in rep.windows])), "s")
-        walls, reported = np.asarray(res["walls"]), np.asarray(res["reported"])
+        # Measured seconds, like the U-stage seconds apply_batch returns.
+        walls, reported = np.asarray(res["walls_raw"]), np.asarray(res["reported"])
         m["maint.wall_s"] = (float(walls.mean()), "s")
         m["maint.reported_s"] = (float(reported.mean()), "s")
         m["maint.unaccounted_s"] = (float((walls - reported).mean()), "s")

@@ -93,25 +93,35 @@ def test_rungs_share_one_execution_per_query_and_stage():
     assert len(calls) == rep.rungs[-1].served < served
 
 
-def test_lambda_star_is_monotone_in_response():
+def test_lambda_star_is_monotone_in_load():
     rng = np.random.default_rng(0)
     rates = [100.0, 200.0, 300.0, 400.0, 500.0, 700.0]
-    rq = 0.1
     for _ in range(500):
-        means = np.sort(rng.uniform(0.01, 0.3, size=len(rates)))
-        lam, _ = interpolate_lambda_star(rates, list(means), list(means <= rq), rq)
-        faster = means * rng.uniform(0.5, 1.0)
-        lam2, _ = interpolate_lambda_star(rates, list(faster), list(faster <= rq), rq)
+        loads = np.sort(rng.uniform(0.1, 3.0, size=len(rates)))
+        lam, _ = interpolate_lambda_star(rates, list(loads))
+        lighter = loads * rng.uniform(0.5, 1.0)
+        lam2, _ = interpolate_lambda_star(rates, list(lighter))
         assert lam2 >= lam - 1e-9
-        assert rates[0] * min(1.0, rq / means[0]) <= lam <= rates[-1]
+        assert min(1.0, 1.0 / loads[0]) * rates[0] - 1e-9 <= lam <= rates[-1]
 
 
 def test_lambda_star_interpolates_and_censors():
     rates = [100.0, 200.0]
-    lam, censored = interpolate_lambda_star(rates, [0.05, 0.2], [True, False], 0.1)
+    lam, censored = interpolate_lambda_star(rates, [0.5, 2.0])
     assert 100.0 < lam < 200.0 and not censored
-    assert math.isclose(lam, 150.0)  # log-midpoint of 0.05 and 0.2 is 0.1
-    assert interpolate_lambda_star(rates, [0.05, 0.08], [True, True], 0.1) == (200.0, True)
+    assert math.isclose(lam, 150.0)  # log-midpoint of 0.5 and 2 is 1
+    assert interpolate_lambda_star(rates, [0.5, 0.8]) == (200.0, True)
+    assert interpolate_lambda_star(rates, [2.0, 4.0]) == (50.0, False)
+
+
+def test_growing_backlog_fails_a_rung_within_rq():
+    """Mean response within R*_q but a queue that grows: the rung fails."""
+    rep = Replay([100.0], 1.0, 1.0, seed=1, pairs=uniform_pairs)
+    rung = rep.rungs[0]
+    rung.backlog_end = [0, 0, 300, 400]
+    rung.resp_sum, rung.served = 10.0, 100
+    (r,) = rep.rung_summary()
+    assert r["mean_s"] <= 1.0 and r["backlog_growth"] > 1.0 and not r["passed"]
 
 
 if __name__ == "__main__":

@@ -20,8 +20,9 @@ wrapped by the serving code.
 
 Spans stay in memory and are written to ``.bench_run/`` at the end.
 The end-to-end metrics of ``--trace 0`` runs never load this module; the
-traced run replays half its time untraced and half traced, and reports
-the difference as the tracing overhead.
+traced run replays a quarter of its time untraced, then a quarter
+traced, and reports the difference as the tracing overhead; the other
+half of its time goes to the traced set-up and, in ``read``, to Spark.
 """
 from __future__ import annotations
 
@@ -290,7 +291,8 @@ BUILD_KEYS = {
 
 
 def traced_run(run, seconds: float, run_dir: str) -> tuple[dict, dict]:
-    """Set up traced, replay half untraced and half traced; per-layer metrics.
+    """Set up traced, replay a quarter of ``seconds`` untraced and a quarter
+    traced; per-layer metrics.
 
     ``run`` is a ``serving.ServingRun``.
     """
@@ -304,10 +306,10 @@ def traced_run(run, seconds: float, run_dir: str) -> tuple[dict, dict]:
         setup_counts = dict(tr.counts)
         tr.enabled = False
         tr.ctx = "serve"
-        base = run.replay(seconds / 2, tracer=tr, min_intervals=2)
+        base = run.replay(seconds / 4, tracer=tr, min_intervals=2)
         tr.enabled = True
         tr.reset_aggregates()
-        res = run.replay(seconds / 2, tracer=tr, min_intervals=2)
+        res = run.replay(seconds / 4, tracer=tr, min_intervals=2)
     finally:
         tr.uninstall()
     rep = res["replay"]
