@@ -1,9 +1,9 @@
 """T5 (paper Exp 4 / Fig 13): QPS evolution during the update interval."""
-from repro.experiments.exp_tables import t5_rows
 from job_util import emit, parse
+from repro.experiments.exp_tables import t5_rows
 
 if __name__ == "__main__":
-    args = parse("NY,FLA", "QPS evolution")
+    args = parse("NY,FLA", "QPS evolution", "t5_qps_evolution")
     rows = t5_rows(args.datasets.split(","))
     emit(rows, ["dataset", "algo", "t_start_s", "qps"],
-         "T5 — QPS evolution over the update interval (Exp 4)", args.tag or "t5_qps_evolution")
+         "T5 — QPS evolution over the update interval (Exp 4)", args.tag)

@@ -9,6 +9,7 @@ from __future__ import annotations
 import sys
 import time
 
+import job_util  # noqa: F401  (puts <repo>/src on sys.path)
 from repro.experiments import exp_tables as T
 from repro.experiments.runner import fmt_table, save_results
 

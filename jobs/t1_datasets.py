@@ -1,8 +1,8 @@
 """T1 (paper Table I): dataset registry statistics."""
-from repro.experiments.exp_tables import t1_rows
 from job_util import emit, parse
+from repro.experiments.exp_tables import t1_rows
 
 if __name__ == "__main__":
-    args = parse("", "dataset registry stats")
+    args = parse("", "dataset registry stats", "t1_datasets")
     emit(t1_rows(), ["name", "paper", "paper_V", "paper_E", "V", "E", "k", "k_e", "tau"],
-         "T1 — datasets (lite registry vs paper Table I)", args.tag or "t1_datasets")
+         "T1 — datasets (lite registry vs paper Table I)", args.tag)

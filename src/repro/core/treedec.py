@@ -390,15 +390,16 @@ def build_labels(
     roots: list[int] | None = None,
     active: set[int] | None = None,
     dis: list[np.ndarray | None] | None = None,
+    cols: np.ndarray | None = None,
 ) -> list[np.ndarray]:
     """Compute/refresh H2H distance arrays top-down.
 
     ``dis[v][j]`` = distance from v to its ancestor at depth j
     (``dis[v][depth[v]] = 0``). The DP per node takes the elementwise min
-    over neighbors of ``sc(v, x_k) + d(x_k, ·)``, where ``d(x_k, A[j])``
-    is read from a matrix M holding the root-path ancestors' arrays:
-    ``M[p][j]`` if j ≤ p else ``M[j][p]`` (x_k *is* the ancestor at its
-    own depth p).
+    over neighbors of ``sc(v, x_k) + d(x_k, A[j])``. A matrix M holds the
+    current root path in both triangles, ``M[p, j] = M[j, p] =
+    d(A[p], A[j])``, and x_k *is* the ancestor at its own depth p, so a
+    node's candidates are the one gather ``M[pos[v], cols]``.
 
     - ``roots``: subtree roots to (re)compute — DH2H's top-down label
       update phase recomputes exactly the subtrees under the highest
@@ -406,8 +407,14 @@ def build_labels(
     - ``active``: restrict computation to this upward-closed vertex set
       (PostMHL's overlay-only label phase); children outside it are
       pruned.
-    - ``dis``: existing arrays updated in place (returned); fresh
-      otherwise.
+    - ``dis``: existing arrays, returned. Full recomputation stores a
+      fresh array per row (callers compare against the old objects).
+    - ``cols``: sorted depths to compute; rows are updated in place on
+      those columns only (PostMHL's post-/cross-boundary phases). The
+      ancestors of ``roots`` are seeded in full, but a node recomputed
+      here supplies only its window columns, so the result is exact when
+      every neighbor depth shallower than a window column of the node is
+      itself in ``cols`` or belongs to a seeded ancestor.
     """
     if dis is None:
         dis = [None] * td.n
@@ -417,33 +424,30 @@ def build_labels(
 
     for r in start:
         # Seed M with r's strict ancestors' existing arrays.
-        anc = td.ancestors(r)[:-1]
-        for a in anc:
+        for a in td.ancestors(r)[:-1]:
             d = int(td.depth[a])
-            M[d, : d + 1] = dis[a]
+            M[d, : d + 1] = M[: d + 1, d] = dis[a]
         stack = [r]
         while stack:
             v = stack.pop()
             if active is not None and v not in active:
                 continue
             d = int(td.depth[v])
-            nb = td.neigh[v]
-            if not nb:
-                row = np.zeros(1, dtype=np.float64)
-            else:
-                pv = td.pos[v]
-                w = td.sc[v]
-                cand = np.empty((len(nb), d), dtype=np.float64)
-                for k in range(len(nb)):
-                    p = int(pv[k])
-                    cand[k, : p + 1] = M[p, : p + 1]
-                    if p + 1 < d:
-                        cand[k, p + 1 :] = M[p + 1 : d, p]
+            pv = td.pos[v]
+            if cols is None:
+                c = slice(0, d)
                 row = np.empty(d + 1, dtype=np.float64)
-                row[:d] = (cand + w[:, None]).min(axis=0)
-                row[d] = 0.0
+                gather = M[pv, :d]
+            else:
+                c = cols[: np.searchsorted(cols, d)]
+                row = dis[v] if dis[v] is not None else np.full(d + 1, INF, dtype=np.float64)
+                gather = M[pv[:, None], c]
+            if len(pv):
+                row[c] = (gather + td.sc[v][:, None]).min(axis=0)
+            row[d] = 0.0
             dis[v] = row
-            M[d, : d + 1] = row
+            M[d, c] = M[c, d] = row[c]
+            M[d, d] = 0.0
             stack.extend(td.children[v])
     return dis
 

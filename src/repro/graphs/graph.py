@@ -7,6 +7,7 @@ weight reads/writes, and all indexes read weights through it.
 """
 from __future__ import annotations
 
+import math
 from typing import Iterable, Iterator
 
 
@@ -70,11 +71,19 @@ class Graph:
 
         This is U-Stage 1 ("on-spot edge update") of both PMHL and
         PostMHL: after it, index-free searches on the graph are correct.
+        The whole batch is validated first — every edge exists and every
+        weight is finite and positive — so a bad batch raises (``KeyError``
+        or ``ValueError``) before any weight, or any index maintained from
+        this graph, changes.
         """
-        applied = []
-        for u, v, w in updates:
+        applied = list(updates)
+        for u, v, w in applied:
+            if not (0 <= u < self.n and 0 <= v < self.n) or v not in self.adj[u]:
+                raise KeyError(f"edge ({u},{v}) not present")
+            if not (math.isfinite(w) and w > 0):
+                raise ValueError(f"edge ({u},{v}): weight {w} is not finite and positive")
+        for u, v, w in applied:
             self.set_weight(u, v, w)
-            applied.append((u, v, w))
         return applied
 
     def subgraph(self, vertices: list[int]) -> tuple["Graph", dict[int, int]]:

@@ -268,8 +268,16 @@ class PMHLIndex:
         u.disB = disB
 
     def _build_lstar(self, u: PartitionUnit) -> None:
-        """Cross-boundary hub arrays for non-boundary vertices (Lemma 2)."""
+        """Cross-boundary hub arrays for non-boundary vertices (Lemma 2).
+
+        A partition with no boundary reaches no other partition: its
+        vertices get empty hub arrays, so cross-partition queries are INF.
+        """
         b_hub = [self.bhubs[u.vertices[l]] for l in u.b_local]
+        if not b_hub:
+            empty = (np.empty(0, dtype=np.int64), np.empty(0, dtype=np.float64))
+            u.lstar = {v: empty for v in range(u.gl.n)}
+            return
         for v in range(u.gl.n):
             if v in u.b_set:
                 continue

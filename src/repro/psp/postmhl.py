@@ -16,7 +16,11 @@ One global MDE tree decomposition carries *all* index components:
 Because every in-partition root path is (overlay ancestors, then
 in-partition ancestors), the full label rows equal plain H2H labels on
 the same order — PostMHL's final-stage query *is* DH2H's (Remark 2),
-which we assert in tests.
+which we assert in tests. Both per-partition phases are therefore the
+H2H DP itself, run by ``build_labels`` on a column window of the
+partition's rows: post-boundary on the depths of B_i plus
+``[depth(root), h)``, cross-boundary on ``[0, depth(root))``; ``disB``
+is the B_i part of the post-boundary window.
 
 Update stages: U1 edge refresh → U2 shortcuts (partition-parallel
 passes + overlay pass over escaped dirt) → U3 overlay labels →
@@ -65,8 +69,6 @@ class PostMHLIndex:
 
         self.k = self.tdp.k
         self.novl = [int(self.td.depth[r]) for r in self.tdp.roots]
-        self.bidx = [{b: j for j, b in enumerate(bs)} for bs in self.tdp.boundary]
-        self.D: list[np.ndarray | None] = [None] * self.k
         self.disB: list[np.ndarray | None] = [None] * graph.n
         self.dis: list[np.ndarray | None] = [None] * graph.n
         self.build_times: dict[str, object] = {}
@@ -97,105 +99,25 @@ class PostMHLIndex:
             "cross": t_cross,
         }
 
-    def _boundary_matrix(self, i: int) -> np.ndarray:
-        """All-pair global distances among B_i via the overlay index."""
-        bs = self.tdp.boundary[i]
-        nb = len(bs)
-        D = np.zeros((nb, nb), dtype=np.float64)
-        for a in range(nb):
-            for b in range(a + 1, nb):
-                D[a, b] = D[b, a] = h2h_query(self.td, self.dis, bs[a], bs[b])
-        return D
+    def _build_post(self, i: int) -> None:
+        """Post-boundary phase (Alg. 4 lines 5–31): boundary + in-partition columns.
 
-    def _partition_preorder(self, i: int):
-        """DFS preorder of partition i's subtree (parents before children)."""
-        stack = [self.tdp.roots[i]]
-        while stack:
-            v = stack.pop()
-            yield v
-            stack.extend(self.td.children[v])
-
-    def _build_post(self, i: int, D: np.ndarray | None = None) -> None:
-        """Post-boundary phase (Alg. 4 lines 5–31): disB + in-partition entries.
-
-        Per node, the in-partition columns [novl, d) are a min over
-        neighbors: an overlay neighbor b contributes the target
-        ancestor's boundary array (``DB[·, bidx[b]]``), an in-partition
-        neighbor the root-path matrix trick restricted to in-partition
-        columns.
+        The H2H DP on the columns ``pos[root]`` (the depths of B_i) and
+        ``[novl, h)`` reads only overlay labels of B_i — every overlay
+        neighbor of an in-partition vertex lies in B_i — and columns of
+        this same window, so it needs nothing but the overlay index
+        (Theorem 4). ``disB`` is the boundary part of the result.
         """
         td = self.td
-        novl = self.novl[i]
-        bidx = self.bidx[i]
-        if D is None:
-            D = self._boundary_matrix(i)
-        self.D[i] = D
-        hmax = 1 + max(int(td.depth[v]) for v in self.tdp.parts[i]) - novl
-        nb_cnt = len(self.tdp.boundary[i])
-        DB = np.empty((hmax, nb_cnt), dtype=np.float64)   # disB rows of root path
-        Mp = np.full((hmax, hmax), INF, dtype=np.float64)  # in-partition columns
-
-        for v in self._partition_preorder(i):
-            d = int(td.depth[v])
-            r = d - novl  # row in DB/Mp
-            # --- boundary array disB[v] -----------------------------
-            row_b = np.full(nb_cnt, INF, dtype=np.float64)
-            for k, x in enumerate(td.neigh[v]):
-                p = int(td.pos[v][k])
-                if p < novl:
-                    cand = D[bidx[x]]
-                else:
-                    cand = DB[p - novl]
-                np.minimum(row_b, td.sc[v][k] + cand, out=row_b)
-            self.disB[v] = row_b
-            DB[r] = row_b
-            # --- in-partition distance-array entries ----------------
-            full = self.dis[v]
-            if full is None or len(full) != d + 1:
-                full = np.full(d + 1, INF, dtype=np.float64)
-                self.dis[v] = full
-            if r > 0:
-                seg = np.full(r, INF, dtype=np.float64)  # columns novl..d-1
-                for k, x in enumerate(td.neigh[v]):
-                    p = int(td.pos[v][k])
-                    if p < novl:
-                        # d(x, A[novl+q]) = ancestor's boundary array at x.
-                        cand = DB[:r, bidx[x]]
-                    else:
-                        pr = p - novl
-                        cand = np.concatenate((Mp[pr, : pr + 1], Mp[pr + 1 : r, pr]))
-                    np.minimum(seg, td.sc[v][k] + cand, out=seg)
-                full[novl:d] = seg
-            full[d] = 0.0
-            Mp[r, :r] = full[novl:d]
-            Mp[r, r] = 0.0
+        r = self.tdp.roots[i]
+        cols = np.concatenate((td.pos[r], np.arange(self.novl[i], td.tree_height())))
+        build_labels(td, roots=[r], dis=self.dis, cols=cols)
+        for v in self.tdp.parts[i]:
+            self.disB[v] = self.dis[v][td.pos[r]]
 
     def _build_cross(self, i: int) -> None:
         """Cross-boundary phase: overlay-ancestor columns [0, novl)."""
-        td = self.td
-        novl = self.novl[i]
-        if novl == 0:
-            return
-        h = td.tree_height()
-        M = np.full((h, novl), INF, dtype=np.float64)
-        # Seed overlay-ancestor rows (their label rows, ≤ novl long).
-        r0 = self.tdp.roots[i]
-        anc = td.ancestors(r0)[:-1]
-        for a in anc:
-            da = int(td.depth[a])
-            M[da, : da + 1] = self.dis[a]
-        for v in self._partition_preorder(i):
-            d = int(td.depth[v])
-            seg = np.full(novl, INF, dtype=np.float64)
-            for k, x in enumerate(td.neigh[v]):
-                p = int(td.pos[v][k])
-                if p < novl:
-                    cand = np.concatenate((M[p, : p + 1], M[p + 1 : novl, p]))
-                else:
-                    cand = M[p, :novl]
-                np.minimum(seg, td.sc[v][k] + cand, out=seg)
-            self.dis[v][:novl] = seg
-            M[d, :novl] = seg
+        build_labels(self.td, roots=[self.tdp.roots[i]], dis=self.dis, cols=np.arange(self.novl[i]))
 
     # ------------------------------------------------------------------
     # queries
@@ -300,10 +222,12 @@ class PostMHLIndex:
         t0 = time.perf_counter()
         ov_affected = {v for v in res_o.affected if v in self.tdp.overlay}
         roots = prune_to_subtree_roots(td, ov_affected)
-        changed_ov: set[int] = set()
+        # changed_ov: overlay vertex -> mask of the label columns whose
+        # values changed, so downstream stages react to *actual* value
+        # changes, not recomputation alone (full recomputation stores
+        # fresh rows, so the old ones survive as the snapshot).
+        changed_ov: dict[int, np.ndarray] = {}
         if roots:
-            # Snapshot the recomputed region so downstream stages can
-            # react to *actual* value changes, not recomputation alone.
             region: list[int] = []
             stack = list(roots)
             while stack:
@@ -313,10 +237,11 @@ class PostMHLIndex:
                     stack.extend(td.children[v])
             old = {v: self.dis[v] for v in region}
             build_labels(td, roots=roots, active=self.tdp.overlay, dis=self.dis)
-            changed_ov = {
-                v for v in region
-                if old[v] is None or not np.array_equal(old[v], self.dis[v])
-            }
+            for v in region:
+                new = self.dis[v]
+                mask = np.ones(len(new), dtype=bool) if old[v] is None else old[v] != new
+                if mask.any():
+                    changed_ov[v] = mask
         out["u3"] = {"overlay": time.perf_counter() - t0}
 
         # ---- U4 + U5: post-/cross-boundary per partition ------------
@@ -328,16 +253,22 @@ class PostMHLIndex:
         u5_parts: dict[int, float] = {}
         for i in range(self.k):
             internal = i in part_affected or i in part_edges
-            # changed_ov holds overlay vertices whose label values truly
-            # changed; a partition is clean iff it had no internal damage
-            # and none of its boundary labels changed (then D and every
-            # d(b, ancestor) feeding its entries are unchanged).
-            boundary_changed = any(b in changed_ov for b in self.tdp.boundary[i])
-            if not internal and not boundary_changed:
+            # The post-boundary window reads only the labels of B_i. The
+            # cross-boundary window also reads d(b, a) for each overlay
+            # ancestor a of the root below b ∈ B_i: column depth(b) of
+            # a's row, and a need not be in B_i.
+            post = internal or any(b in changed_ov for b in self.tdp.boundary[i])
+            pb = td.pos[self.tdp.roots[i]]
+            cross = post or any(
+                changed_ov[a][pb[pb < len(changed_ov[a])]].any()
+                for a in td.ancestors(self.tdp.roots[i])[:-1] if a in changed_ov
+            )
+            if not cross:
                 continue
-            t0 = time.perf_counter()
-            self._build_post(i)
-            u4_parts[i] = time.perf_counter() - t0
+            if post:
+                t0 = time.perf_counter()
+                self._build_post(i)
+                u4_parts[i] = time.perf_counter() - t0
             t0 = time.perf_counter()
             self._build_cross(i)
             u5_parts[i] = time.perf_counter() - t0

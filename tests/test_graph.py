@@ -47,6 +47,24 @@ def test_apply_updates_batch():
     assert g.weight(0, 1) == 4.0 and g.weight(2, 3) == 8.0
 
 
+@pytest.mark.parametrize("bad", [
+    (0, 2, 1.0),            # no such edge
+    (1, 1, 1.0),            # self-loop
+    (0, 9, 1.0),            # vertex out of range
+    (2, 3, -5.0),
+    (2, 3, 0.0),
+    (2, 3, float("nan")),
+    (2, 3, float("inf")),
+])
+def test_apply_updates_rejects_whole_batch(bad):
+    """A bad update anywhere in a batch raises before any weight changes."""
+    g = make()
+    before = [dict(a) for a in g.adj]
+    with pytest.raises((KeyError, ValueError)):
+        g.apply_updates([(0, 1, 4.0), bad, (2, 3, 8.0)])
+    assert g.adj == before
+
+
 def test_copy_is_independent():
     g = make()
     c = g.copy()

@@ -3,7 +3,9 @@ import math
 
 import pytest
 
-from repro.core.dijkstra import floyd_warshall
+from repro.core.dijkstra import dijkstra, floyd_warshall
+from repro.graphs.generator import update_batches
+from repro.graphs.graph import Graph
 from repro.psp.pmhl import PMHLIndex, hub_query
 from tests.util import pairs_for, small_case, updated_case
 
@@ -130,6 +132,43 @@ def test_index_size_grows_with_level():
     full = PMHLIndex(g.copy(), 4, coords)
     assert full.index_size() > 0
     assert full.build_times["post"] and full.build_times["cross"]
+
+
+def _all_stages_exact(idx, graph, pairs):
+    for s, t in pairs:
+        d = dijkstra(graph, s).get(t, math.inf)
+        assert idx.query_bidij(s, t) == pytest.approx(d)
+        for stage in STAGES:
+            assert getattr(idx, stage)(s, t) == pytest.approx(d), (stage, s, t)
+
+
+def test_single_partition_no_boundary():
+    """k=1: the one partition has no boundary; every stage stays exact."""
+    g, coords, ups, _ = updated_case(0, 20, 5)
+    idx = PMHLIndex(g.copy(), 1, coords)
+    assert idx.part.boundary == [[]]
+    _all_stages_exact(idx, idx.graph, pairs_for(g.n, 30, 1))
+    for batch in ups:
+        idx.apply_batch(batch)
+        _all_stages_exact(idx, idx.graph, pairs_for(g.n, 30, 2))
+
+
+def test_component_partition_no_boundary():
+    """Two components, BFS partitioner: one component becomes a partition
+    with no boundary, and pairs across components are INF at every stage."""
+    from repro.graphs.generator import road_network
+
+    g1, _ = road_network(8, 4, seed=1)
+    n1 = g1.n
+    g = Graph(2 * n1, [*g1.edges(), *[(u + n1, v + n1, w) for u, v, w in g1.edges()]])
+    idx = PMHLIndex(g.copy(), 4)
+    assert [] in idx.part.boundary
+    pairs = [(s, t) for s in range(0, 2 * n1, 5) for t in range(1, 2 * n1, 7) if s != t]
+    assert any(dijkstra(g, s).get(t) is None for s, t in pairs)
+    _all_stages_exact(idx, idx.graph, pairs)
+    for batch in update_batches(g, batches=2, volume=15, seed=4):
+        idx.apply_batch(batch)
+        _all_stages_exact(idx, idx.graph, pairs)
 
 
 def test_hub_query_disjoint_returns_inf():

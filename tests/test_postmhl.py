@@ -27,7 +27,7 @@ def test_remark2_labels_equal_h2h(built):
     idx, g, _, _ = built
     ref = H2HIndex(g.copy())
     for v in range(g.n):
-        assert np.allclose(idx.dis[v], ref.dis[v]), v
+        assert np.array_equal(idx.dis[v], ref.dis[v]), v
 
 
 @pytest.mark.parametrize("stage", ["query_pch", "query_postboundary", "query"])
@@ -46,15 +46,6 @@ def test_disB_exact(built):
         for v in idx.tdp.parts[i][::4]:
             for j, b in enumerate(bs):
                 assert idx.disB[v][j] == pytest.approx(fw[v][b])
-
-
-def test_boundary_matrix_exact(built):
-    idx, g, fw, _ = built
-    for i in range(idx.k):
-        bs = idx.tdp.boundary[i]
-        for a in range(len(bs)):
-            for b in range(len(bs)):
-                assert idx.D[i][a, b] == pytest.approx(fw[bs[a]][bs[b]])
 
 
 def test_overlay_neighbors_of_partition_in_root_bag(built):
@@ -85,15 +76,59 @@ def test_maintenance_all_stages(seed, tau, ke):
 
 
 def test_maintenance_labels_equal_h2h_after_updates():
-    """Theorem 4 consequence: staged updates land on the DH2H labels."""
-    g, _, ups, _ = updated_case(3, 20, 5)
+    """Theorem 4 consequence: staged updates land on the DH2H labels.
+
+    The second case has batches that change an overlay ancestor's
+    distance to a boundary vertex while no boundary label changes; the
+    partitions below must still refresh their cross-boundary columns.
+    """
+    for case, tau, ke in [((3, 20, 5), 8, 4), ((3, 20, 6, 4, 3), 10, 6)]:
+        g, _, ups, _ = updated_case(*case)
+        idx = PostMHLIndex(g.copy(), tau=tau, k_e=ke)
+        ref = H2HIndex(g.copy())
+        for batch in ups:
+            idx.apply_batch(batch)
+            ref.apply_batch(batch)
+            for v in range(g.n):
+                assert np.array_equal(idx.dis[v], ref.dis[v]), (case, v)
+            for i, r in enumerate(idx.tdp.roots):
+                for v in idx.tdp.parts[i]:
+                    assert np.array_equal(idx.disB[v], ref.dis[v][idx.td.pos[r]]), (case, v)
+
+
+def test_overlay_only_batch_refreshes_partitions():
+    """A batch of overlay edges only: the partitions' label rows are
+    rewritten in place, and the post-boundary and final stages must
+    still see every changed overlay label."""
+    from repro.core.dijkstra import floyd_warshall
+
+    g, _, _ = small_case(6, 20, 5)
     idx = PostMHLIndex(g.copy(), tau=8, k_e=4)
-    ref = H2HIndex(g.copy())
-    for batch in ups:
-        idx.apply_batch(batch)
-        ref.apply_batch(batch)
-    for v in range(g.n):
-        assert np.allclose(idx.dis[v], ref.dis[v]), v
+    ov = idx.tdp.overlay
+    batch = [(u, v, w * 3) for u, v, w in g.edges() if u in ov and v in ov][::2]
+    assert batch
+    idx.apply_batch(batch)
+    g2 = g.copy()
+    g2.apply_updates(batch)
+    fw = floyd_warshall(g2)
+    for s, t in pairs_for(g.n, 60, 8):
+        assert idx.query_postboundary(s, t) == pytest.approx(fw[s][t])
+        assert idx.query(s, t) == pytest.approx(fw[s][t])
+
+
+def test_rejected_batch_leaves_index_unchanged():
+    """A batch with a missing edge raises before U1 writes anything."""
+    g, _, fw = small_case(6, 20, 5)
+    idx = PostMHLIndex(g.copy(), tau=8, k_e=4)
+    (u, v, w), missing = next(iter(g.edges())), (0, g.n - 1, 1.0)
+    assert not g.has_edge(0, g.n - 1)
+    for bad in ([(u, v, w * 2), missing], [(u, v, w * 2), (u, v, -5.0)]):
+        with pytest.raises((KeyError, ValueError)):
+            idx.apply_batch(bad)
+        assert idx.graph.weight(u, v) == w
+        for s, t in pairs_for(g.n, 40, 9):
+            assert idx.query(s, t) == pytest.approx(fw[s][t])
+            assert idx.query_postboundary(s, t) == pytest.approx(fw[s][t])
 
 
 def test_maintenance_increase_only():

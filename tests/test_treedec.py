@@ -175,6 +175,33 @@ def test_build_labels_active_subset():
         assert np.allclose(restricted[v], full[v])
 
 
+def test_build_labels_cols_window():
+    """A column window over fresh rows equals the full build on its columns:
+    a prefix window over the whole tree, and a subtree window seeded from
+    the subtree root's ancestors (PostMHL's post-boundary shape)."""
+    g, _, _ = small_case(6)
+    td = build_treedec(g)
+    full = build_labels(td)
+    h = td.tree_height()
+
+    def check(win, cols, vs):
+        for v in vs:
+            c = cols[cols < td.depth[v]]
+            assert np.array_equal(win[v][c], full[v][c]), v
+            assert win[v][td.depth[v]] == 0.0
+
+    cols = np.arange(h // 2)
+    check(build_labels(td, cols=cols), cols, range(g.n))
+
+    r = max((v for v in range(g.n) if td.depth[v] >= 3), key=lambda v: len(td.neigh[v]))
+    sub = [v for v in range(g.n) if r in td.ancestors(v)]
+    dis = [None] * g.n
+    for a in td.ancestors(r)[:-1]:
+        dis[a] = full[a]
+    cols = np.concatenate((td.pos[r], np.arange(td.depth[r], h)))
+    check(build_labels(td, roots=[r], dis=dis, cols=cols), cols, sub)
+
+
 def test_h2h_query_ancestor_cases():
     g, _, fw = small_case(7)
     td = build_treedec(g)
