@@ -84,6 +84,8 @@ class TOAINIndex:
                 best = d + d2
         return best
 
+    stages = (("toain", query),)  # query stages after BiDijkstra
+
     def tune(self, pairs: list[tuple[int, int]], fracs=(0.02, 0.05, 0.15, 0.4, 1.0)) -> float:
         """Pick the core fraction minimizing mean query time."""
         best_frac, best_t = fracs[0], INF

@@ -74,6 +74,8 @@ class CHIndex:
     def query(self, s: int, t: int) -> float:
         return ch_query_rows(self._rows, s, t)
 
+    stages = (("ch", query),)  # query stages after BiDijkstra
+
     def apply_batch(self, updates: list[tuple[int, int, float]]) -> float:
         """Apply a weight batch and maintain shortcuts; returns seconds."""
         self.graph.apply_updates(updates)

@@ -62,6 +62,8 @@ class H2HIndex:
     def query_bidij(self, s: int, t: int) -> float:
         return bidijkstra(self.graph, s, t)
 
+    stages = (("h2h", query),)  # query stages after BiDijkstra
+
     # -- maintenance ---------------------------------------------------
     def apply_batch(self, updates: list[tuple[int, int, float]]) -> dict[str, float]:
         """DH2H maintenance; returns per-phase seconds.

@@ -8,17 +8,18 @@ ours in EXPERIMENTS.md.
 """
 from __future__ import annotations
 
-import time
+from dataclasses import replace
 
 from repro.graphs.generator import DATASETS, random_queries, update_batches
-from repro.experiments.harness import (
-    lpt,
-    mean_walls,
-    measure_queries,
-    pmhl_stage_walls,
-    postmhl_stage_walls,
+from repro.experiments.harness import mean_walls
+from repro.experiments.runner import (
+    DEFAULTS,
+    INDEXES,
+    SLACKED,
+    bidij_stats,
+    get_records,
+    measure_index,
 )
-from repro.experiments.runner import DEFAULTS, SLACKED, AlgoResult, get_records
 from repro.psp.pmhl import PMHLIndex
 from repro.psp.postmhl import PostMHLIndex
 from repro.throughput.simulator import qps_timeline
@@ -75,21 +76,10 @@ def t4_rows(names: list[str], ks=(4, 8, 16, 32, 64), **kw) -> list[dict]:
         graph, coords = spec.build()
         pairs = random_queries(graph.n, cfg["n_queries"])
         batches = update_batches(graph, batches=3, volume=cfg["volume"], seed=17)
+        bidij = bidij_stats(graph, batches, pairs[:30])
         for k in ks:
-            t0 = time.perf_counter()
-            idx = PMHLIndex(graph.copy(), k, coords)
-            tb = time.perf_counter() - t0
-            raw = [idx.apply_batch(b) for b in batches]
-            walls = mean_walls([pmhl_stage_walls(t, cfg["p"]) for t in raw])
-            stage_q = {
-                "bidij": measure_queries(idx.query_bidij, pairs[:30]),
-                "pch": measure_queries(idx.query_pch, pairs),
-                "noboundary": measure_queries(idx.query_noboundary, pairs),
-                "postboundary": measure_queries(idx.query_postboundary, pairs),
-                "cross": measure_queries(idx.query_cross, pairs),
-            }
-            r = AlgoResult("PMHL", tb, idx.index_size(), stage_q, walls,
-                           ["bidij", "pch", "noboundary", "postboundary", "cross"], raw)
+            r, _ = measure_index("PMHL", lambda: PMHLIndex(graph.copy(), k, coords),
+                                 batches, pairs, cfg["p"], bidij)
             rows.append(dict(dataset=name, k=k, t_u_s=r.tu,
                              lambda_qps=r.throughput(cfg["dt"], cfg["rq"])))
     return rows
@@ -148,11 +138,10 @@ def t7_rows(names: list[str], ps=(1, 2, 4, 8, 16, 32, 64, 160), **kw) -> list[di
         cfg = _cfg(name)
         for a in ("PMHL", "PostMHL"):
             r = recs[a]
-            wallfn = pmhl_stage_walls if a == "PMHL" else postmhl_stage_walls
+            fold = INDEXES[a][1]
             base_tu = base_lam = None
             for p in ps:
-                walls = mean_walls([wallfn(t, p) for t in r.raw_batches])
-                rp = AlgoResult(a, r.t_build, r.size, r.stage_q, walls, r.stage_names)
+                rp = replace(r, walls=mean_walls([fold(t, p) for t in r.raw_batches]))
                 tu = rp.tu
                 lam = rp.throughput(cfg["dt"], cfg["rq"])
                 if base_tu is None:
@@ -174,10 +163,12 @@ def t8_rows(names: list[str], kes=(8, 16, 32, 64, 128), **kw) -> list[dict]:
         graph, _ = spec.build()
         pairs = random_queries(graph.n, cfg["n_queries"])
         batches = update_batches(graph, batches=3, volume=cfg["volume"], seed=17)
+        bidij = bidij_stats(graph, batches, pairs[:30])
         for ke in kes:
-            r = _postmhl_result(graph, spec.tau, ke, pairs, batches, cfg)
-            rows.append(dict(dataset=name, k_e=ke, k_actual=r["k"], t_u_s=r["res"].tu,
-                             lambda_qps=r["res"].throughput(cfg["dt"], cfg["rq"])))
+            r, idx = measure_index("PostMHL", lambda: PostMHLIndex(graph.copy(), tau=spec.tau, k_e=ke),
+                                   batches, pairs, cfg["p"], bidij)
+            rows.append(dict(dataset=name, k_e=ke, k_actual=idx.k, t_u_s=r.tu,
+                             lambda_qps=r.throughput(cfg["dt"], cfg["rq"])))
     return rows
 
 
@@ -192,27 +183,13 @@ def t9_rows(names: list[str], taus=(8, 12, 16, 24, 32), **kw) -> list[dict]:
         graph, _ = spec.build()
         pairs = random_queries(graph.n, cfg["n_queries"])
         batches = update_batches(graph, batches=3, volume=cfg["volume"], seed=17)
+        bidij = bidij_stats(graph, batches, pairs[:30])
         for tau in taus:
-            r = _postmhl_result(graph, tau, spec.k_e, pairs, batches, cfg)
-            rows.append(dict(dataset=name, tau=tau, overlay_n=r["overlay_n"], k_actual=r["k"],
-                             tq_stage3_ms=r["res"].stage_q["postboundary"].mean * 1e3,
-                             t_u_s=r["res"].tu,
-                             lambda_qps=r["res"].throughput(cfg["dt"], cfg["rq"])))
+            r, idx = measure_index("PostMHL", lambda: PostMHLIndex(graph.copy(), tau=tau, k_e=spec.k_e),
+                                   batches, pairs, cfg["p"], bidij)
+            rows.append(dict(dataset=name, tau=tau, overlay_n=idx.overlay_size(), k_actual=idx.k,
+                             tq_stage3_ms=r.stage_q["postboundary"].mean * 1e3,
+                             t_u_s=r.tu,
+                             lambda_qps=r.throughput(cfg["dt"], cfg["rq"])))
     return rows
 
-
-def _postmhl_result(graph, tau, ke, pairs, batches, cfg) -> dict:
-    t0 = time.perf_counter()
-    idx = PostMHLIndex(graph.copy(), tau=tau, k_e=ke)
-    tb = time.perf_counter() - t0
-    raw = [idx.apply_batch(b) for b in batches]
-    walls = mean_walls([postmhl_stage_walls(t, cfg["p"]) for t in raw])
-    stage_q = {
-        "bidij": measure_queries(idx.query_bidij, pairs[:30]),
-        "pch": measure_queries(idx.query_pch, pairs),
-        "postboundary": measure_queries(idx.query_postboundary, pairs),
-        "h2h": measure_queries(idx.query, pairs),
-    }
-    res = AlgoResult("PostMHL", tb, idx.index_size(), stage_q, walls,
-                     ["bidij", "pch", "postboundary", "h2h"], raw)
-    return dict(res=res, k=idx.k, overlay_n=idx.overlay_size())

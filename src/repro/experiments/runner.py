@@ -13,9 +13,11 @@ import json
 import os
 import time
 from dataclasses import dataclass, field
+from functools import partial
 
 from repro.graphs.generator import DATASETS, random_queries, update_batches
 from repro.core.ch import CHIndex
+from repro.core.dijkstra import bidijkstra
 from repro.core.h2h import H2HIndex
 from repro.baselines.toain import TOAINIndex
 from repro.psp.pmhl import PMHLIndex
@@ -23,15 +25,12 @@ from repro.psp.strategies import NCHPIndex, PTDPIndex
 from repro.psp.postmhl import PostMHLIndex
 from repro.experiments.harness import (
     QueryStats,
-    lpt,
     mean_walls,
     measure_queries,
     pmhl_stage_walls,
     postmhl_stage_walls,
 )
 from repro.throughput.queue_model import Stage, multistage_throughput
-
-ALGOS = ["BiDij", "DCH", "DH2H", "TOAIN", "N-CH-P", "P-TD-P", "PMHL", "PostMHL"]
 
 # Default lite-scale system parameters (see module docstring).
 DEFAULTS = dict(volume=100, dt=10.0, rq=0.1, p=16, n_batches=5, n_queries=100)
@@ -48,23 +47,20 @@ class AlgoResult:
     t_build: float
     size: int
     # Query stats per stage, in availability order; the last is the
-    # fully-updated index. Keys depend on the algorithm.
+    # fully-updated index.
     stage_q: dict[str, QueryStats]
     # Mean stage availability walls within an interval, already
     # LPT-scheduled at the runner's p (seconds from interval start).
     walls: list[float]
-    # Stage names matching walls+final for timeline/throughput building.
-    stage_names: list[str] = field(default_factory=list)
     raw_batches: list[dict] = field(default_factory=list)  # per-batch timings
 
     def stages_for(self, dt: float) -> list[Stage]:
         """Stage list over one update interval for the queue model."""
         out: list[Stage] = []
         prev = 0.0
-        qs = [self.stage_q[n] for n in self.stage_names]
         # stage i serves from walls[i-1]..walls[i]; stage 0 from 0.
         bounds = list(self.walls) + [dt]
-        for q, b in zip(qs, bounds):
+        for q, b in zip(self.stage_q.values(), bounds):
             b = min(b, dt)
             if b > prev:
                 out.append(Stage(b - prev, q.mean, q.var))
@@ -85,13 +81,61 @@ class AlgoResult:
 
     @property
     def tq(self) -> float:
-        return self.stage_q[self.stage_names[-1]].mean
+        return list(self.stage_q.values())[-1].mean
 
 
-def _timed_build(cls, *args, **kw):
+def _toain(graph, spec, coords, pairs) -> TOAINIndex:
+    idx = TOAINIndex(graph)
+    idx.tune(pairs[: min(20, len(pairs))])  # self-configuration is part of construction
+    return idx
+
+
+def _last_wall(t: dict, p: int) -> list[float]:
+    return [pmhl_stage_walls(t, p)[-1]]  # stages a PMHL level skips add 0
+
+
+# Per index: constructor (graph, spec, coords, pairs) and the fold of one
+# batch's ``apply_batch`` durations into the walls, at p workers, at which
+# its stages go live.
+INDEXES = {
+    "DCH": (lambda g, spec, coords, pairs: CHIndex(g), lambda t, p: [t]),
+    "DH2H": (lambda g, spec, coords, pairs: H2HIndex(g), lambda t, p: [sum(t.values())]),
+    "TOAIN": (_toain, lambda t, p: [t]),
+    "N-CH-P": (lambda g, spec, coords, pairs: NCHPIndex(g, spec.k, coords), _last_wall),
+    "P-TD-P": (lambda g, spec, coords, pairs: PTDPIndex(g, spec.k, coords), _last_wall),
+    "PMHL": (lambda g, spec, coords, pairs: PMHLIndex(g, spec.k, coords), pmhl_stage_walls),
+    "PostMHL": (
+        lambda g, spec, coords, pairs: PostMHLIndex(g, tau=spec.tau, k_e=spec.k_e),
+        postmhl_stage_walls,
+    ),
+}
+
+
+def bidij_stats(graph, batches, pairs) -> QueryStats:
+    """BiDijkstra, every index's first stage, on the graph after ``batches``."""
+    g = graph.copy()
+    for b in batches:
+        g.apply_updates(b)
+    return measure_queries(lambda s, t: bidijkstra(g, s, t), pairs)
+
+
+def measure_index(name: str, build, batches, pairs, p: int, bidij: QueryStats):
+    """Time ``build()``, apply ``batches``, fold their walls at ``p`` workers
+    and time every stage in the index's ``stages``.
+
+    Returns the :class:`AlgoResult` and the index.
+    """
     t0 = time.perf_counter()
-    idx = cls(*args, **kw)
-    return idx, time.perf_counter() - t0
+    idx = build()
+    t_build = time.perf_counter() - t0
+    raw = [idx.apply_batch(b) for b in batches]
+    fold = INDEXES[name][1]
+    stage_q = {"bidij": bidij}
+    for stage, query in idx.stages:
+        stage_q[stage] = measure_queries(partial(query, idx), pairs)
+    res = AlgoResult(name, t_build, idx.index_size(), stage_q,
+                     mean_walls([fold(t, p) for t in raw]), raw)
+    return res, idx
 
 
 def measure_dataset(
@@ -104,120 +148,28 @@ def measure_dataset(
     p: int | None = None,
     seed: int = 11,
 ) -> dict[str, AlgoResult]:
-    """Build, update, and measure every requested algorithm on a dataset."""
+    """Build, update, and measure every requested algorithm (default: all)
+    on a dataset, in ``INDEXES`` order.
+
+    BiDij is always measured first: every algorithm falls back to it.
+    """
     spec = DATASETS[name]
     cfg = {**DEFAULTS, **SLACKED.get(name, {})}
     volume = volume or cfg["volume"]
     n_batches = n_batches or cfg["n_batches"]
     n_queries = n_queries or cfg["n_queries"]
     p = p or cfg["p"]
-    algos = list(algos or ALGOS)
-    if "BiDij" not in algos:
-        algos = ["BiDij"] + algos  # every algorithm falls back to BiDijkstra
 
     graph, coords = spec.build()
     pairs = random_queries(graph.n, n_queries, seed=seed)
     batches = update_batches(graph, batches=n_batches, volume=volume, seed=seed + 1)
-    out: dict[str, AlgoResult] = {}
-
-    if "BiDij" in algos:
-        g = graph.copy()
-        from repro.core.dijkstra import bidijkstra
-
-        for b in batches:
-            g.apply_updates(b)
-        q = measure_queries(lambda s, t: bidijkstra(g, s, t), pairs)
-        out["BiDij"] = AlgoResult("BiDij", 0.0, 0, {"bidij": q}, [], ["bidij"])
-
-    if "DCH" in algos:
-        idx, tb = _timed_build(CHIndex, graph.copy())
-        walls = [[idx.apply_batch(b)] for b in batches]
-        qb = measure_queries(idx.query, pairs)
-        qf = out["BiDij"].stage_q["bidij"]
-        out["DCH"] = AlgoResult(
-            "DCH", tb, idx.index_size(), {"bidij": qf, "ch": qb}, mean_walls(walls), ["bidij", "ch"]
-        )
-
-    if "DH2H" in algos:
-        idx, tb = _timed_build(H2HIndex, graph.copy())
-        walls = []
-        for b in batches:
-            t = idx.apply_batch(b)
-            walls.append([t["edge"] + t["shortcut"] + t["label"]])
-        qh = measure_queries(idx.query, pairs)
-        qf = out["BiDij"].stage_q["bidij"]
-        out["DH2H"] = AlgoResult(
-            "DH2H", tb, idx.index_size(), {"bidij": qf, "h2h": qh}, mean_walls(walls), ["bidij", "h2h"]
-        )
-
-    if "TOAIN" in algos:
-        idx, tb = _timed_build(TOAINIndex, graph.copy())
-        tb += 0.0
-        t0 = time.perf_counter()
-        idx.tune(pairs[: min(20, len(pairs))])
-        tb += time.perf_counter() - t0  # self-configuration is part of construction
-        walls = [[idx.apply_batch(b)] for b in batches]
-        qt = measure_queries(idx.query, pairs)
-        qf = out["BiDij"].stage_q["bidij"]
-        out["TOAIN"] = AlgoResult(
-            "TOAIN", tb, idx.index_size(), {"bidij": qf, "toain": qt}, mean_walls(walls), ["bidij", "toain"]
-        )
-
-    if "N-CH-P" in algos:
-        idx, tb = _timed_build(NCHPIndex, graph.copy(), spec.k, coords)
-        walls = []
-        for b in batches:
-            t = idx.apply_batch(b)
-            walls.append([t["u1"] + lpt(t["u2"]["parts"].values(), p) + t["u2"]["overlay"]])
-        qp = measure_queries(idx.query_pch, pairs)
-        qf = out["BiDij"].stage_q["bidij"]
-        out["N-CH-P"] = AlgoResult(
-            "N-CH-P", tb, idx.index_size(), {"bidij": qf, "pch": qp}, mean_walls(walls), ["bidij", "pch"]
-        )
-
-    if "P-TD-P" in algos:
-        idx, tb = _timed_build(PTDPIndex, graph.copy(), spec.k, coords)
-        walls = []
-        for b in batches:
-            t = idx.apply_batch(b)
-            w = pmhl_stage_walls(t, p)
-            walls.append([w[2]])  # available after U4 (post-boundary)
-        qq = measure_queries(idx.query_postboundary, pairs)
-        qf = out["BiDij"].stage_q["bidij"]
-        out["P-TD-P"] = AlgoResult(
-            "P-TD-P", tb, idx.index_size(), {"bidij": qf, "post": qq}, mean_walls(walls), ["bidij", "post"]
-        )
-
-    if "PMHL" in algos:
-        idx, tb = _timed_build(PMHLIndex, graph.copy(), spec.k, coords)
-        raw = [idx.apply_batch(b) for b in batches]
-        walls = [pmhl_stage_walls(t, p) for t in raw]
-        stage_q = {
-            "bidij": out["BiDij"].stage_q["bidij"],
-            "pch": measure_queries(idx.query_pch, pairs),
-            "noboundary": measure_queries(idx.query_noboundary, pairs),
-            "postboundary": measure_queries(idx.query_postboundary, pairs),
-            "cross": measure_queries(idx.query_cross, pairs),
-        }
-        out["PMHL"] = AlgoResult(
-            "PMHL", tb, idx.index_size(), stage_q, mean_walls(walls),
-            ["bidij", "pch", "noboundary", "postboundary", "cross"], raw,
-        )
-
-    if "PostMHL" in algos:
-        idx, tb = _timed_build(PostMHLIndex, graph.copy(), tau=spec.tau, k_e=spec.k_e)
-        raw = [idx.apply_batch(b) for b in batches]
-        walls = [postmhl_stage_walls(t, p) for t in raw]
-        stage_q = {
-            "bidij": out["BiDij"].stage_q["bidij"],
-            "pch": measure_queries(idx.query_pch, pairs),
-            "postboundary": measure_queries(idx.query_postboundary, pairs),
-            "h2h": measure_queries(idx.query, pairs),
-        }
-        out["PostMHL"] = AlgoResult(
-            "PostMHL", tb, idx.index_size(), stage_q, mean_walls(walls),
-            ["bidij", "pch", "postboundary", "h2h"], raw,
-        )
+    bidij = bidij_stats(graph, batches, pairs)
+    out = {"BiDij": AlgoResult("BiDij", 0.0, 0, {"bidij": bidij}, [])}
+    for a, (make, _fold) in INDEXES.items():
+        if not algos or a in algos:
+            out[a], _ = measure_index(
+                a, lambda: make(graph.copy(), spec, coords, pairs), batches, pairs, p, bidij
+            )
     return out
 
 

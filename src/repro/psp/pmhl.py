@@ -17,9 +17,9 @@ The index aggregates, per partition G_i with boundary B_i:
 
 Query stages (fastest *available* index answers):
   1 BiDijkstra → 2 PCH → 3 no-boundary → 4 post-boundary → 5 cross-boundary
-Update stages U1–U5 mirror §V-D; ``apply_batch`` returns per-task
-durations so stage wall-clock under p workers is an LPT schedule
-(DESIGN.md §2).
+Update stages U1–U5 mirror §V-D; ``maintain`` yields after each one,
+when the query stage it enables is exact, with per-task durations so
+stage wall-clock under p workers is an LPT schedule (DESIGN.md §2).
 """
 from __future__ import annotations
 
@@ -116,6 +116,7 @@ class PMHLIndex:
         self.k = k
         self.part: Partition = partition_graph(graph, k, coords)
         self.units: list[PartitionUnit] = []
+        self.bhubs: dict[int, tuple[np.ndarray, np.ndarray]] = {}
         self.build_times: dict[str, object] = {}
         self._init_units()
         if build:
@@ -235,8 +236,6 @@ class PMHLIndex:
 
     def _build_boundary_hubs(self, changed: list[int]) -> None:
         """(Re)build the L* hub arrays of boundary vertices = overlay labels."""
-        if not hasattr(self, "bhubs"):
-            self.bhubs: dict[int, tuple[np.ndarray, np.ndarray]] = {}
         for g in changed:
             o = self.o_loc[g]
             anc = np.array([self.ov_vertices[a] for a in self.td_o.ancestors(o)], dtype=np.int64)
@@ -383,14 +382,27 @@ class PMHLIndex:
         return hub_query(h1, d1, h2, d2)
 
     query = query_cross  # final-stage (fully updated) query entry point
+    # Query stages after BiDijkstra, in go-live order (U2..U5).
+    stages = (
+        ("pch", query_pch),
+        ("noboundary", query_noboundary),
+        ("postboundary", query_postboundary),
+        ("cross", query_cross),
+    )
 
     # ------------------------------------------------------------------
     # maintenance (U-Stages 1..5)
     # ------------------------------------------------------------------
     def apply_batch(self, updates: list[tuple[int, int, float]]) -> dict:
-        """Run U-Stages 1–5; returns per-stage / per-task durations."""
-        out: dict = {}
+        """Run every U-stage; returns per-stage / per-task durations."""
+        return dict(self.maintain(updates))
 
+    def maintain(self, updates: list[tuple[int, int, float]]):
+        """U-Stages 1–5 (up to ``level``) as a generator of ``(key, durations)``.
+
+        Each yield comes when a U-stage has finished, so the query stage
+        it enables is exact while the later ones are still stale (Fig. 7).
+        """
         # ---- U1: on-spot edge update --------------------------------
         t0 = time.perf_counter()
         self.graph.apply_updates(updates)
@@ -402,7 +414,7 @@ class PMHLIndex:
                 intra.setdefault(i, []).append((a, b, w))
             else:
                 inter.append((a, b, w))
-        out["u1"] = time.perf_counter() - t0
+        yield "u1", time.perf_counter() - t0
 
         # ---- U2: no-boundary shortcut update ------------------------
         u2_parts: dict[int, float] = {}
@@ -440,9 +452,9 @@ class PMHLIndex:
             self.og.set_weight(oa, ob, w)
             ov_edge_changes.append((oa, ob))
         res_o = update_shortcuts(self.td_o, self.og, ov_edge_changes)
-        out["u2"] = {"parts": u2_parts, "overlay": time.perf_counter() - t0}
+        yield "u2", {"parts": u2_parts, "overlay": time.perf_counter() - t0}
         if self.level == "shortcut":
-            return out
+            return
 
         # ---- U3: no-boundary label update ---------------------------
         u3_parts: dict[int, float] = {}
@@ -464,7 +476,7 @@ class PMHLIndex:
                 v for v in region
                 if old[v] is None or not np.array_equal(old[v], self.dis_o[v])
             }
-        out["u3"] = {"parts": u3_parts, "overlay": time.perf_counter() - t0}
+        yield "u3", {"parts": u3_parts, "overlay": time.perf_counter() - t0}
 
         # ---- U4: post-boundary index update -------------------------
         changed_ov_g = {self.ov_vertices[o] for o in changed_ov}
@@ -498,9 +510,9 @@ class PMHLIndex:
             if roots or res_p.affected:
                 post_label_changed.add(i)
             u4_parts[i] = time.perf_counter() - t0
-        out["u4"] = {"parts": u4_parts}
+        yield "u4", {"parts": u4_parts}
         if self.level == "post":
-            return out
+            return
 
         # ---- U5: cross-boundary index update ------------------------
         t0 = time.perf_counter()
@@ -516,8 +528,7 @@ class PMHLIndex:
             self._build_disB(u)
             self._build_lstar(u)
             u5_parts[i] = time.perf_counter() - t0
-        out["u5"] = {"parts": u5_parts, "boundary_hubs": t_bh}
-        return out
+        yield "u5", {"parts": u5_parts, "boundary_hubs": t_bh}
 
     # ------------------------------------------------------------------
     def index_size(self) -> int:
@@ -536,6 +547,5 @@ class PMHLIndex:
         total += sum(len(nb) for nb in self.td_o.neigh)
         if self.dis_o is not None:
             total += sum(len(d) for d in self.dis_o)
-        if hasattr(self, "bhubs"):
-            total += sum(len(h) for h, _ in self.bhubs.values())
+        total += sum(len(h) for h, _ in self.bhubs.values())
         return total

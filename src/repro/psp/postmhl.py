@@ -24,7 +24,7 @@ is the B_i part of the post-boundary window.
 
 Update stages: U1 edge refresh → U2 shortcuts (partition-parallel
 passes + overlay pass over escaped dirt) → U3 overlay labels →
-U4 post-boundary and U5 cross-boundary per-partition in parallel.
+U4 post-boundary → U5 cross-boundary, each partition-parallel.
 Queries per stage: BiDijkstra → CH → post-boundary (disB + overlay
 concatenation across partitions) → full H2H.
 """
@@ -179,12 +179,22 @@ class PostMHLIndex:
         """Q-Stage 4 (final): full H2H query — equivalent to DH2H."""
         return h2h_query(self.td, self.dis, s, t)
 
+    # Query stages after BiDijkstra, in go-live order (U2, U4, U5).
+    stages = (("pch", query_pch), ("postboundary", query_postboundary), ("h2h", query))
+
     # ------------------------------------------------------------------
     # maintenance
     # ------------------------------------------------------------------
     def apply_batch(self, updates: list[tuple[int, int, float]]) -> dict:
-        """Run U-Stages 1–5; returns per-stage / per-task durations."""
-        out: dict = {}
+        """Run every U-stage; returns per-stage / per-task durations."""
+        return dict(self.maintain(updates))
+
+    def maintain(self, updates: list[tuple[int, int, float]]):
+        """U-Stages 1–5 as a generator of ``(key, durations)``.
+
+        Each yield comes when a U-stage has finished, so the query stage
+        it enables is exact while the later ones are still stale (Fig. 7).
+        """
         td = self.td
 
         # ---- U1 ------------------------------------------------------
@@ -199,7 +209,7 @@ class PostMHLIndex:
                 ov_edges.append((a, b))
             else:
                 part_edges.setdefault(i, []).append((a, b))
-        out["u1"] = time.perf_counter() - t0
+        yield "u1", time.perf_counter() - t0
 
         # ---- U2: shortcuts, partition-parallel then overlay ---------
         u2_parts: dict[int, float] = {}
@@ -216,7 +226,7 @@ class PostMHLIndex:
             u2_parts[i] = time.perf_counter() - t0
         t0 = time.perf_counter()
         res_o = update_shortcuts(td, self.graph, ov_edges, seed_dirty=seed)
-        out["u2"] = {"parts": u2_parts, "overlay": time.perf_counter() - t0}
+        yield "u2", {"parts": u2_parts, "overlay": time.perf_counter() - t0}
 
         # ---- U3: overlay label update -------------------------------
         t0 = time.perf_counter()
@@ -242,39 +252,46 @@ class PostMHLIndex:
                 mask = np.ones(len(new), dtype=bool) if old[v] is None else old[v] != new
                 if mask.any():
                     changed_ov[v] = mask
-        out["u3"] = {"overlay": time.perf_counter() - t0}
+        yield "u3", {"overlay": time.perf_counter() - t0}
 
         # ---- U4 + U5: post-/cross-boundary per partition ------------
         # Overlay-pass affected owners can also sit *inside* partitions
         # (an escaped pair's recomputation never does, but the overlay
         # pass only touches overlay owners); partition-internal label
         # damage comes from part_affected.
-        u4_parts: dict[int, float] = {}
-        u5_parts: dict[int, float] = {}
+        post: list[int] = []
+        cross: list[int] = []
         for i in range(self.k):
             internal = i in part_affected or i in part_edges
             # The post-boundary window reads only the labels of B_i. The
             # cross-boundary window also reads d(b, a) for each overlay
             # ancestor a of the root below b ∈ B_i: column depth(b) of
             # a's row, and a need not be in B_i.
-            post = internal or any(b in changed_ov for b in self.tdp.boundary[i])
+            if internal or any(b in changed_ov for b in self.tdp.boundary[i]):
+                post.append(i)
+                cross.append(i)
+                continue
             pb = td.pos[self.tdp.roots[i]]
-            cross = post or any(
+            if any(
                 changed_ov[a][pb[pb < len(changed_ov[a])]].any()
                 for a in td.ancestors(self.tdp.roots[i])[:-1] if a in changed_ov
-            )
-            if not cross:
-                continue
-            if post:
-                t0 = time.perf_counter()
-                self._build_post(i)
-                u4_parts[i] = time.perf_counter() - t0
+            ):
+                cross.append(i)
+        # Neither window reads a column that only the other computes (both
+        # cover the depths of B_i, from the same overlay labels), so every
+        # post(i) can finish before any cross(i) starts.
+        u4_parts: dict[int, float] = {}
+        for i in post:
+            t0 = time.perf_counter()
+            self._build_post(i)
+            u4_parts[i] = time.perf_counter() - t0
+        yield "u4", {"parts": u4_parts}
+        u5_parts: dict[int, float] = {}
+        for i in cross:
             t0 = time.perf_counter()
             self._build_cross(i)
             u5_parts[i] = time.perf_counter() - t0
-        out["u4"] = {"parts": u4_parts}
-        out["u5"] = {"parts": u5_parts}
-        return out
+        yield "u5", {"parts": u5_parts}
 
     # ------------------------------------------------------------------
     def index_size(self) -> int:

@@ -27,6 +27,7 @@ class NCHPIndex(PMHLIndex):
         super().__init__(graph, k, coords, level="shortcut")
 
     query = PMHLIndex.query_pch
+    stages = (("pch", PMHLIndex.query_pch),)
 
 
 class PTDPIndex(PMHLIndex):
@@ -36,3 +37,4 @@ class PTDPIndex(PMHLIndex):
         super().__init__(graph, k, coords, level="post")
 
     query = PMHLIndex.query_postboundary
+    stages = (("post", PMHLIndex.query_postboundary),)

