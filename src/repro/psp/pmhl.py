@@ -57,6 +57,34 @@ def subtree_nodes(td: TreeDec, roots: list[int]) -> set[int]:
     return out
 
 
+def depth_levels(
+    td: TreeDec, skip: set[int], pad: int
+) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """Per tree depth, ascending: ``(vertices, neighbors, flat positions)``.
+
+    Covers the vertices not in ``skip``; the neighbor and shortcut
+    position rows are padded to the level's widest row with ``pad`` and
+    position 0. Both are fixed by the elimination order, so weight
+    updates reuse them and only re-gather ``td.flat``.
+    """
+    by_depth: dict[int, list[int]] = {}
+    for v in range(td.n):
+        if v not in skip:
+            by_depth.setdefault(int(td.depth[v]), []).append(v)
+    levels = []
+    for d in sorted(by_depth):
+        vs = by_depth[d]
+        width = max(len(td.neigh[v]) for v in vs)
+        nbr = np.full((len(vs), width), pad, dtype=np.int64)
+        fpos = np.zeros((len(vs), width), dtype=np.int64)
+        for r, v in enumerate(vs):
+            k = len(td.neigh[v])
+            nbr[r, :k] = td.neigh[v]
+            fpos[r, :k] = np.arange(td.flat_off[v], td.flat_off[v] + k)
+        levels.append((np.array(vs, dtype=np.int64), nbr, fpos))
+    return levels
+
+
 def hub_query(h1: np.ndarray, d1: np.ndarray, h2: np.ndarray, d2: np.ndarray) -> float:
     """2-hop-cover query over two sorted hub arrays."""
     common, i1, i2 = np.intersect1d(h1, h2, assume_unique=True, return_indices=True)
@@ -84,7 +112,8 @@ class PartitionUnit:
     td_post: TreeDec | None = None
     dis_post: list | None = None
     D: np.ndarray | None = None                        # |B|×|B| global boundary dists
-    disB: list | None = None                           # local v -> row over B_i
+    disB: np.ndarray | None = None                     # n_i × |B_i| boundary distances
+    sweep: list | None = None                          # disB depth levels (depth_levels)
     lstar: dict[int, tuple[np.ndarray, np.ndarray]] = field(default_factory=dict)
 
 
@@ -211,8 +240,8 @@ class PMHLIndex:
         t_cross: dict[int, float] = {}
         for u in self.units:
             t0 = time.perf_counter()
-            self._build_disB(u)
-            self._build_lstar(u)
+            u.sweep = depth_levels(u.td_post, u.b_set, pad=u.gl.n)
+            self._build_cross(u)
             t_cross[u.pid] = time.perf_counter() - t0
 
         self.build_times = {
@@ -243,49 +272,39 @@ class PMHLIndex:
             srt = np.argsort(anc)
             self.bhubs[g] = (anc[srt], dist[srt])
 
-    def _build_disB(self, u: PartitionUnit) -> None:
-        """Boundary arrays: disB[v][j] = d_G(v, b_j) for all b_j ∈ B_i.
+    def _build_cross(self, u: PartitionUnit) -> None:
+        """Cross-boundary index of one partition: ``disB``, then L*.
 
-        Top-down DP over the post-boundary tree: a boundary neighbor
-        contributes its (global) D row, a non-boundary neighbor its own
-        disB row — Algorithm 4 lines 13–19 specialized to PMHL.
+        ``disB[v, j] = d_G(v, b_j)`` for all b_j ∈ B_i is a top-down DP over
+        the post-boundary tree: a boundary neighbor contributes its (global)
+        D row, a non-boundary neighbor its own disB row — Algorithm 4 lines
+        13–19 specialized to PMHL. Neighbors are tree ancestors, so each
+        depth level is one gather-min over the rows of shallower levels
+        (row ``n_i`` is the INF pad).
+
+        L* (Lemma 2): every non-boundary vertex has the same hub set
+        ``H_i``, the union of the overlay ancestors of ``B_i``, so all hub
+        rows are one min-plus product ``min_j disB[:, j] + BH[j]``, with
+        ``BH[j]`` b_j's overlay label spread over ``H_i`` (INF where b_j
+        lacks the hub). A partition with no boundary reaches no other
+        partition: its hub arrays are empty, so cross-partition queries
+        are INF.
         """
-        td = u.td_post
-        bidx = {l: j for j, l in enumerate(u.b_local)}
-        nb_cnt = len(u.b_local)
-        disB: list = [None] * u.gl.n
-        for l in u.b_local:
-            disB[l] = u.D[bidx[l]]
-        for v in reversed(td.order):  # decreasing rank = parents first
-            if v in u.b_set:
-                continue
-            row = np.full(nb_cnt, INF, dtype=np.float64)
-            for k, x in enumerate(td.neigh[v]):
-                cand = td.sc[v][k] + disB[x]
-                np.minimum(row, cand, out=row)
-            disB[v] = row
-        u.disB = disB
+        n, flat = u.gl.n, u.td_post.flat
+        buf = np.full((n + 1, len(u.b_local)), INF, dtype=np.float64)
+        buf[u.b_local] = u.D
+        for vs, nbr, fpos in u.sweep:
+            buf[vs] = (flat[fpos][:, :, None] + buf[nbr]).min(axis=1, initial=INF)
+        u.disB = buf[:n]
 
-    def _build_lstar(self, u: PartitionUnit) -> None:
-        """Cross-boundary hub arrays for non-boundary vertices (Lemma 2).
-
-        A partition with no boundary reaches no other partition: its
-        vertices get empty hub arrays, so cross-partition queries are INF.
-        """
         b_hub = [self.bhubs[u.vertices[l]] for l in u.b_local]
-        if not b_hub:
-            empty = (np.empty(0, dtype=np.int64), np.empty(0, dtype=np.float64))
-            u.lstar = {v: empty for v in range(u.gl.n)}
-            return
-        for v in range(u.gl.n):
-            if v in u.b_set:
-                continue
-            hubs = np.concatenate([h for h, _ in b_hub])
-            dists = np.concatenate([d + u.disB[v][j] for j, (_, d) in enumerate(b_hub)])
-            uh, inv = np.unique(hubs, return_inverse=True)
-            best = np.full(len(uh), INF, dtype=np.float64)
-            np.minimum.at(best, inv, dists)
-            u.lstar[v] = (uh, best)
+        hubs = np.unique(np.concatenate([h for h, _ in b_hub] or [np.empty(0, dtype=np.int64)]))
+        rows = np.full((n, len(hubs)), INF, dtype=np.float64)
+        for j, (h, d) in enumerate(b_hub):
+            bh = np.full(len(hubs), INF, dtype=np.float64)
+            bh[np.searchsorted(hubs, h)] = d
+            np.minimum(rows, u.disB[:, j, None] + bh, out=rows)
+        u.lstar = {v: (hubs, rows[v]) for v in range(n) if v not in u.b_set}
 
     # ------------------------------------------------------------------
     # queries (stages 1..5)
@@ -525,8 +544,7 @@ class PMHLIndex:
             if i not in post_label_changed and not any(g in changed_ov_g for g in u.b_global):
                 continue
             t0 = time.perf_counter()
-            self._build_disB(u)
-            self._build_lstar(u)
+            self._build_cross(u)
             u5_parts[i] = time.perf_counter() - t0
         yield "u5", {"parts": u5_parts, "boundary_hubs": t_bh}
 

@@ -153,17 +153,21 @@ def test_single_partition_no_boundary():
         _all_stages_exact(idx, idx.graph, pairs_for(g.n, 30, 2))
 
 
-def test_component_partition_no_boundary():
-    """Two components, BFS partitioner: one component becomes a partition
-    with no boundary, and pairs across components are INF at every stage."""
+def _two_components():
     from repro.graphs.generator import road_network
 
     g1, _ = road_network(8, 4, seed=1)
     n1 = g1.n
-    g = Graph(2 * n1, [*g1.edges(), *[(u + n1, v + n1, w) for u, v, w in g1.edges()]])
+    return Graph(2 * n1, [*g1.edges(), *[(u + n1, v + n1, w) for u, v, w in g1.edges()]])
+
+
+def test_component_partition_no_boundary():
+    """Two components, BFS partitioner: one component becomes a partition
+    with no boundary, and pairs across components are INF at every stage."""
+    g = _two_components()
     idx = PMHLIndex(g.copy(), 4)
     assert [] in idx.part.boundary
-    pairs = [(s, t) for s in range(0, 2 * n1, 5) for t in range(1, 2 * n1, 7) if s != t]
+    pairs = [(s, t) for s in range(0, g.n, 5) for t in range(1, g.n, 7) if s != t]
     assert any(dijkstra(g, s).get(t) is None for s, t in pairs)
     _all_stages_exact(idx, idx.graph, pairs)
     for batch in update_batches(g, batches=2, volume=15, seed=4):
@@ -175,3 +179,74 @@ def test_hub_query_disjoint_returns_inf():
     h1 = np.array([1, 2]); d1 = np.array([1.0, 2.0])
     h2 = np.array([3, 4]); d2 = np.array([1.0, 2.0])
     assert hub_query(h1, d1, h2, d2) == math.inf
+
+
+def _reference_cross(idx, u):
+    """Per-vertex disB rows and L* arrays: the loop form of the kernels."""
+    td = u.td_post
+    disB = [None] * u.gl.n
+    for j, l in enumerate(u.b_local):
+        disB[l] = u.D[j]
+    for v in reversed(td.order):  # decreasing rank = parents first
+        if v in u.b_set:
+            continue
+        row = np.full(len(u.b_local), math.inf)
+        for k, x in enumerate(td.neigh[v]):
+            np.minimum(row, td.sc[v][k] + disB[x], out=row)
+        disB[v] = row
+    b_hub = [idx.bhubs[u.vertices[l]] for l in u.b_local]
+    lstar = {}
+    for v in range(u.gl.n):
+        if v in u.b_set:
+            continue
+        if not b_hub:
+            lstar[v] = (np.empty(0, dtype=np.int64), np.empty(0))
+            continue
+        hubs = np.concatenate([h for h, _ in b_hub])
+        dists = np.concatenate([d + disB[v][j] for j, (_, d) in enumerate(b_hub)])
+        uh, inv = np.unique(hubs, return_inverse=True)
+        best = np.full(len(uh), math.inf)
+        np.minimum.at(best, inv, dists)
+        lstar[v] = (uh, best)
+    return disB, lstar
+
+
+def _assert_cross_equals_reference(idx):
+    entries = 0
+    for u in idx.units:
+        disB, lstar = _reference_cross(idx, u)
+        assert len(u.disB) == len(disB)
+        for v, row in enumerate(disB):
+            assert np.array_equal(u.disB[v], row), (u.pid, v)
+        assert u.lstar.keys() == lstar.keys()
+        for v, (hubs, dists) in lstar.items():
+            got_h, got_d = u.lstar[v]
+            assert got_h.dtype == hubs.dtype and np.array_equal(got_h, hubs), (u.pid, v)
+            assert np.array_equal(got_d, dists), (u.pid, v)
+        entries += sum(len(r) for r in disB) + sum(len(h) for h, _ in lstar.values())
+        entries += sum(len(nb) for nb in u.td.neigh) + sum(len(d) for d in u.dis)
+        entries += sum(len(nb) for nb in u.td_post.neigh) + sum(len(d) for d in u.dis_post)
+    entries += sum(len(nb) for nb in idx.td_o.neigh) + sum(len(d) for d in idx.dis_o)
+    entries += sum(len(h) for h, _ in idx.bhubs.values())
+    assert idx.index_size() == entries
+
+
+@pytest.mark.parametrize("case", ["k3", "k4", "k1", "components"])
+def test_cross_index_equals_reference(case):
+    """disB and L* equal the per-vertex loops bit for bit, after the build
+    and after every batch; ``index_size`` counts no pad entries."""
+    if case == "components":
+        g = _two_components()
+        idx = PMHLIndex(g.copy(), 4)
+        assert [] in idx.part.boundary
+        batches = update_batches(g, batches=2, volume=15, seed=4)
+    else:
+        k = {"k3": 3, "k4": 4, "k1": 1}[case]
+        g, coords, batches, _ = updated_case(k, 20, 5)
+        idx = PMHLIndex(g.copy(), k, coords)
+    _assert_cross_equals_reference(idx)
+    rebuilt = 0
+    for batch in batches:
+        rebuilt += len(idx.apply_batch(batch)["u5"]["parts"])
+        _assert_cross_equals_reference(idx)
+    assert rebuilt
